@@ -31,20 +31,32 @@ int main() {
        proto::effective_rdwr_gbps},
   };
 
+  // Every (panel, size, system) point in one batch, NFP then NetFPGA.
+  const auto sizes = bench::transfer_ladder();
+  std::vector<bench::Point> points;
   for (const auto& panel : panels) {
-    std::printf("--- %s ---\n", panel.title);
-    TextTable table({"size_B", "model_Gbps", "40G_ethernet", "NFP6000-HSW",
-                     "NetFPGA-HSW"});
-    for (std::uint32_t sz : bench::transfer_ladder()) {
+    for (std::uint32_t sz : sizes) {
       bench::BandwidthSpec spec;
       spec.kind = panel.kind;
       spec.size = sz;
       spec.iterations = 25000;
+      points.push_back({&nfp, spec});
+      points.push_back({&fpga, spec});
+    }
+  }
+  const auto gbps = bench::run_points(points);
+
+  std::size_t k = 0;
+  for (const auto& panel : panels) {
+    std::printf("--- %s ---\n", panel.title);
+    TextTable table({"size_B", "model_Gbps", "40G_ethernet", "NFP6000-HSW",
+                     "NetFPGA-HSW"});
+    for (std::uint32_t sz : sizes) {
       table.add_row({std::to_string(sz),
                      TextTable::num(panel.model(link, sz, 0)),
                      TextTable::num(proto::ethernet_pcie_demand_gbps(40.0, sz)),
-                     TextTable::num(bench::run_bw_gbps(nfp, spec)),
-                     TextTable::num(bench::run_bw_gbps(fpga, spec))});
+                     TextTable::num(gbps[k]), TextTable::num(gbps[k + 1])});
+      k += 2;
     }
     std::printf("%s\n", table.to_string().c_str());
   }

@@ -16,26 +16,39 @@ int main() {
   const auto nfp = sys::nfp6000_hsw().config;
   const auto fpga = sys::netfpga_hsw().config;
 
-  for (auto [kind, label] :
-       {std::pair{BenchKind::LatRd, "LAT_RD"},
-        std::pair{BenchKind::LatWrRd, "LAT_WRRD"}}) {
-    std::printf("--- %s ---\n", label);
-    TextTable table({"size_B", "NFP_med_ns", "NFP_min", "NFP_p95",
-                     "NetFPGA_med_ns", "NetFPGA_min", "NetFPGA_p95"});
-    for (std::uint32_t sz : {8u, 16u, 32u, 64u, 128u, 256u, 512u, 1024u, 2048u}) {
+  const std::pair<BenchKind, const char*> panels[] = {
+      {BenchKind::LatRd, "LAT_RD"}, {BenchKind::LatWrRd, "LAT_WRRD"}};
+  const std::uint32_t sizes[] = {8, 16, 32, 64, 128, 256, 512, 1024, 2048};
+
+  // Every (panel, size, system) point in one batch, NFP then NetFPGA.
+  std::vector<std::pair<const sim::SystemConfig*, bench::LatencySpec>> points;
+  for (const auto& [kind, label] : panels) {
+    for (std::uint32_t sz : sizes) {
       bench::LatencySpec spec;
       spec.kind = kind;
       spec.size = sz;
       spec.iterations = 8000;
-      const auto a = bench::run_latency(nfp, spec);
-      const auto b = bench::run_latency(fpga, spec);
-      table.add_row({std::to_string(sz),
-                     TextTable::num(a.summary.median_ns, 0),
-                     TextTable::num(a.summary.min_ns, 0),
-                     TextTable::num(a.summary.p95_ns, 0),
-                     TextTable::num(b.summary.median_ns, 0),
-                     TextTable::num(b.summary.min_ns, 0),
-                     TextTable::num(b.summary.p95_ns, 0)});
+      points.emplace_back(&nfp, spec);
+      points.emplace_back(&fpga, spec);
+    }
+  }
+  const auto results = bench::parallel_map(points.size(), [&](std::size_t i) {
+    return bench::run_latency(*points[i].first, points[i].second).summary;
+  });
+
+  std::size_t k = 0;
+  for (const auto& panel : panels) {
+    std::printf("--- %s ---\n", panel.second);
+    TextTable table({"size_B", "NFP_med_ns", "NFP_min", "NFP_p95",
+                     "NetFPGA_med_ns", "NetFPGA_min", "NetFPGA_p95"});
+    for (std::uint32_t sz : sizes) {
+      const auto& a = results[k];
+      const auto& b = results[k + 1];
+      k += 2;
+      table.add_row({std::to_string(sz), TextTable::num(a.median_ns, 0),
+                     TextTable::num(a.min_ns, 0), TextTable::num(a.p95_ns, 0),
+                     TextTable::num(b.median_ns, 0),
+                     TextTable::num(b.min_ns, 0), TextTable::num(b.p95_ns, 0)});
     }
     std::printf("%s\n", table.to_string().c_str());
   }

@@ -15,14 +15,16 @@ int main() {
 
   constexpr std::size_t kSamples = 2'000'000;
 
-  auto run = [&](const sim::SystemConfig& cfg) {
+  const sim::SystemConfig systems[] = {sys::nfp6000_hsw().config,
+                                       sys::nfp6000_hsw_e3().config};
+  const auto results = bench::parallel_map(2, [&](std::size_t i) {
     bench::LatencySpec spec;
     spec.size = 64;
     spec.iterations = kSamples;
-    return bench::run_latency(cfg, spec);
-  };
-  const auto e5 = run(sys::nfp6000_hsw().config);
-  const auto e3 = run(sys::nfp6000_hsw_e3().config);
+    return bench::run_latency(systems[i], spec);
+  });
+  const auto& e5 = results[0];
+  const auto& e3 = results[1];
 
   TextTable summary({"system", "min_ns", "median_ns", "p90", "p99", "p99.9",
                      "max_ns"});

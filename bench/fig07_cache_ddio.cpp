@@ -19,11 +19,22 @@ int main() {
 
   const auto cfg = sys::nfp6000_snb().config;
 
-  std::printf("--- (a) 8 B latency, PCIe command interface ---\n");
-  TextTable lat({"window", "RD_cold_ns", "RD_warm_ns", "WRRD_cold_ns",
-                 "WRRD_warm_ns"});
-  for (std::uint64_t w : bench::window_ladder()) {
-    auto run = [&](BenchKind kind, CacheState cs) {
+  // Per window: RD cold, RD warm, WRRD/WR cold, WRRD/WR warm. Panel (a)
+  // then panel (b), all in one batch.
+  const auto windows = bench::window_ladder();
+  const std::pair<BenchKind, CacheState> lat_cols[] = {
+      {BenchKind::LatRd, CacheState::Thrash},
+      {BenchKind::LatRd, CacheState::HostWarm},
+      {BenchKind::LatWrRd, CacheState::Thrash},
+      {BenchKind::LatWrRd, CacheState::HostWarm}};
+  const std::pair<BenchKind, CacheState> bw_cols[] = {
+      {BenchKind::BwRd, CacheState::Thrash},
+      {BenchKind::BwRd, CacheState::HostWarm},
+      {BenchKind::BwWr, CacheState::Thrash},
+      {BenchKind::BwWr, CacheState::HostWarm}};
+  std::vector<bench::Point> points;
+  for (std::uint64_t w : windows) {
+    for (const auto& [kind, cs] : lat_cols) {
       bench::LatencySpec spec;
       spec.kind = kind;
       spec.size = 8;
@@ -32,35 +43,42 @@ int main() {
       spec.cmd_if = true;
       spec.iterations = 12000;
       spec.warmup = 50000;  // settle the DDIO quota, as 2M-sample runs do
-      return bench::run_latency(cfg, spec).summary.median_ns;
-    };
-    lat.add_row({bench::human_window(w),
-                 TextTable::num(run(BenchKind::LatRd, CacheState::Thrash), 0),
-                 TextTable::num(run(BenchKind::LatRd, CacheState::HostWarm), 0),
-                 TextTable::num(run(BenchKind::LatWrRd, CacheState::Thrash), 0),
-                 TextTable::num(run(BenchKind::LatWrRd, CacheState::HostWarm), 0)});
+      points.push_back({&cfg, spec});
+    }
   }
-  std::printf("%s\n", lat.to_string().c_str());
-
-  std::printf("--- (b) 64 B bandwidth ---\n");
-  TextTable bw({"window", "RD_cold_Gbps", "RD_warm_Gbps", "WR_cold_Gbps",
-                "WR_warm_Gbps"});
-  for (std::uint64_t w : bench::window_ladder()) {
-    auto run = [&](BenchKind kind, CacheState cs) {
+  for (std::uint64_t w : windows) {
+    for (const auto& [kind, cs] : bw_cols) {
       bench::BandwidthSpec spec;
       spec.kind = kind;
       spec.size = 64;
       spec.window = w;
       spec.cache = cs;
       spec.iterations = 25000;
-      return bench::run_bw_gbps(cfg, spec);
-    };
-    bw.add_row({bench::human_window(w),
-                TextTable::num(run(BenchKind::BwRd, CacheState::Thrash), 1),
-                TextTable::num(run(BenchKind::BwRd, CacheState::HostWarm), 1),
-                TextTable::num(run(BenchKind::BwWr, CacheState::Thrash), 1),
-                TextTable::num(run(BenchKind::BwWr, CacheState::HostWarm), 1)});
+      points.push_back({&cfg, spec});
+    }
   }
+  const auto values = bench::run_points(points);
+
+  std::size_t k = 0;
+  auto add_rows = [&](TextTable& table, int precision) {
+    for (std::uint64_t w : windows) {
+      std::vector<std::string> row{bench::human_window(w)};
+      for (int c = 0; c < 4; ++c)
+        row.push_back(TextTable::num(values[k++], precision));
+      table.add_row(std::move(row));
+    }
+  };
+
+  std::printf("--- (a) 8 B latency, PCIe command interface ---\n");
+  TextTable lat({"window", "RD_cold_ns", "RD_warm_ns", "WRRD_cold_ns",
+                 "WRRD_warm_ns"});
+  add_rows(lat, 0);
+  std::printf("%s\n", lat.to_string().c_str());
+
+  std::printf("--- (b) 64 B bandwidth ---\n");
+  TextTable bw({"window", "RD_cold_Gbps", "RD_warm_Gbps", "WR_cold_Gbps",
+                "WR_warm_Gbps"});
+  add_rows(bw, 1);
   std::printf("%s", bw.to_string().c_str());
   return 0;
 }

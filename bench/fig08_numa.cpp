@@ -15,34 +15,46 @@ int main() {
       "unaffected by locality.");
 
   const auto cfg = sys::nfp6000_bdw().config;
-  TextTable table({"window", "64B_%", "128B_%", "256B_%", "512B_%"});
+  const std::uint32_t sizes[] = {64, 128, 256, 512};
+  // Per (window, size): local then remote read. The write spot-check's
+  // local/remote pair goes last in the same batch.
+  std::vector<bench::Point> points;
   for (std::uint64_t w : bench::window_ladder()) {
-    std::vector<std::string> row{bench::human_window(w)};
-    for (std::uint32_t sz : {64u, 128u, 256u, 512u}) {
+    for (std::uint32_t sz : sizes) {
       bench::BandwidthSpec spec;
       spec.kind = BenchKind::BwRd;
       spec.size = sz;
       spec.window = w;
       spec.iterations = 25000;
       spec.local = true;
-      const double local = bench::run_bw_gbps(cfg, spec);
+      points.push_back({&cfg, spec});
       spec.local = false;
-      const double remote = bench::run_bw_gbps(cfg, spec);
-      row.push_back(TextTable::num(core::pct_change(local, remote), 1));
+      points.push_back({&cfg, spec});
     }
-    table.add_row(std::move(row));
   }
-  std::printf("%s\n", table.to_string().c_str());
-
-  // The write-locality claim, spot-checked at 64 B.
   bench::BandwidthSpec wr;
   wr.kind = BenchKind::BwWr;
   wr.size = 64;
   wr.window = 64ull << 10;
   wr.local = true;
-  const double wl = bench::run_bw_gbps(cfg, wr);
+  points.push_back({&cfg, wr});
   wr.local = false;
-  const double wrem = bench::run_bw_gbps(cfg, wr);
+  points.push_back({&cfg, wr});
+  const auto gbps = bench::run_points(points);
+
+  TextTable table({"window", "64B_%", "128B_%", "256B_%", "512B_%"});
+  std::size_t k = 0;
+  for (std::uint64_t w : bench::window_ladder()) {
+    std::vector<std::string> row{bench::human_window(w)};
+    for (std::size_t c = 0; c < std::size(sizes); ++c, k += 2)
+      row.push_back(TextTable::num(core::pct_change(gbps[k], gbps[k + 1]), 1));
+    table.add_row(std::move(row));
+  }
+  std::printf("%s\n", table.to_string().c_str());
+
+  // The write-locality claim, spot-checked at 64 B.
+  const double wl = gbps[k];
+  const double wrem = gbps[k + 1];
   std::printf("BW_WR 64B local %.1f vs remote %.1f Gb/s (%+.1f%%) — "
               "writes land in the local DDIO cache regardless.\n",
               wl, wrem, core::pct_change(wl, wrem));

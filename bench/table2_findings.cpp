@@ -16,20 +16,50 @@ int main() {
 
   const auto bdw = sys::nfp6000_bdw().config;
   const auto snb = sys::nfp6000_snb().config;
+  const auto on = sys::with_iommu(bdw, true, 4096);
+
+  // Every finding's measurements in one batch; the rows below read them
+  // back in this order.
+  std::vector<bench::Point> points;
+  {  // IOMMU: 64 B reads off/on at a 128 KB, then a 16 MB window.
+    bench::BandwidthSpec spec;
+    spec.size = 64;
+    spec.window = 128ull << 10;
+    points.push_back({&bdw, spec});
+    points.push_back({&on, spec});
+    spec.window = 16ull << 20;
+    points.push_back({&bdw, spec});
+    points.push_back({&on, spec});
+  }
+  {  // DDIO: 8 B reads warm, then cold.
+    bench::LatencySpec spec;
+    spec.size = 8;
+    spec.window = 64ull << 10;
+    spec.cmd_if = true;
+    spec.iterations = 6000;
+    spec.cache = CacheState::HostWarm;
+    points.push_back({&snb, spec});
+    spec.cache = CacheState::Thrash;
+    points.push_back({&snb, spec});
+  }
+  for (std::uint32_t size : {64u, 512u}) {  // NUMA: local, then remote.
+    bench::BandwidthSpec spec;
+    spec.size = size;
+    spec.window = 64ull << 10;
+    spec.local = true;
+    points.push_back({&bdw, spec});
+    spec.local = false;
+    points.push_back({&bdw, spec});
+  }
+  const auto v = bench::run_points(points);
+
   int failures = 0;
   TextTable table({"Area", "Observation (measured)", "Holds",
                    "Recommendation"});
 
   {  // IOMMU: throughput collapses as the working set grows.
-    const auto on = sys::with_iommu(bdw, true, 4096);
-    bench::BandwidthSpec spec;
-    spec.size = 64;
-    spec.window = 128ull << 10;
-    const double small_drop = core::pct_change(bench::run_bw_gbps(bdw, spec),
-                                               bench::run_bw_gbps(on, spec));
-    spec.window = 16ull << 20;
-    const double big_drop = core::pct_change(bench::run_bw_gbps(bdw, spec),
-                                             bench::run_bw_gbps(on, spec));
+    const double small_drop = core::pct_change(v[0], v[1]);
+    const double big_drop = core::pct_change(v[2], v[3]);
     const bool holds = small_drop > -5.0 && big_drop < -50.0;
     failures += !holds;
     char obs[128];
@@ -40,15 +70,8 @@ int main() {
                    "Co-locate I/O buffers into superpages."});
   }
   {  // DDIO: small transactions faster when cache-resident.
-    bench::LatencySpec spec;
-    spec.size = 8;
-    spec.window = 64ull << 10;
-    spec.cmd_if = true;
-    spec.iterations = 6000;
-    spec.cache = CacheState::HostWarm;
-    const double warm = bench::run_latency(snb, spec).summary.median_ns;
-    spec.cache = CacheState::Thrash;
-    const double cold = bench::run_latency(snb, spec).summary.median_ns;
+    const double warm = v[4];
+    const double cold = v[5];
     const bool holds = cold - warm > 40.0;
     failures += !holds;
     char obs[128];
@@ -58,13 +81,8 @@ int main() {
                    "DDIO speeds descriptor rings and small-packet receive."});
   }
   {  // NUMA small reads: remote cache reads cost ~20%.
-    bench::BandwidthSpec spec;
-    spec.size = 64;
-    spec.window = 64ull << 10;
-    spec.local = true;
-    const double local = bench::run_bw_gbps(bdw, spec);
-    spec.local = false;
-    const double remote = bench::run_bw_gbps(bdw, spec);
+    const double local = v[6];
+    const double remote = v[7];
     const double drop = core::pct_change(local, remote);
     const bool holds = drop < -10.0;
     failures += !holds;
@@ -75,13 +93,8 @@ int main() {
                    "Place descriptor rings on the local node."});
   }
   {  // NUMA large transactions: locality does not matter.
-    bench::BandwidthSpec spec;
-    spec.size = 512;
-    spec.window = 64ull << 10;
-    spec.local = true;
-    const double local = bench::run_bw_gbps(bdw, spec);
-    spec.local = false;
-    const double remote = bench::run_bw_gbps(bdw, spec);
+    const double local = v[8];
+    const double remote = v[9];
     const bool holds = std::abs(core::pct_change(local, remote)) < 3.0;
     failures += !holds;
     char obs[128];

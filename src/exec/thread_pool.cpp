@@ -1,5 +1,7 @@
 #include "exec/thread_pool.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <deque>
 #include <exception>
@@ -10,14 +12,22 @@
 
 namespace pcieb::exec {
 
-ThreadPool::ThreadPool(std::size_t threads) : threads_(threads) {
-  if (threads_ == 0) {
-    threads_ = std::thread::hardware_concurrency();
-    if (threads_ == 0) threads_ = 1;  // the standard allows 0 = "unknown"
-  }
-}
-
 namespace {
+
+/// CPUs this process may run on: the size of its affinity mask, else
+/// hardware_concurrency(), else 1. hardware_concurrency() alone counts
+/// every online CPU and ignores the mask, so a `taskset -c 0` run would
+/// still get one thread per CPU of the machine.
+std::size_t available_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof set, &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<std::size_t>(n);
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw > 0 ? hw : 1;  // the standard allows 0 = "unknown"
+}
 
 /// One worker's deque. A mutex per deque is plenty: tasks here are whole
 /// simulator runs (milliseconds), so lock traffic is noise.
@@ -27,6 +37,9 @@ struct WorkerQueue {
 };
 
 }  // namespace
+
+ThreadPool::ThreadPool(std::size_t threads)
+    : threads_(threads == 0 ? available_cpus() : threads) {}
 
 void ThreadPool::parallel_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn) const {

@@ -29,7 +29,9 @@ namespace pcieb::exec {
 
 class ThreadPool {
  public:
-  /// `threads` == 0 picks std::thread::hardware_concurrency().
+  /// `threads` == 0 picks the number of CPUs in the calling thread's
+  /// affinity mask (sched_getaffinity; `taskset -c 0` gives 1), falling
+  /// back to std::thread::hardware_concurrency(), then to 1.
   explicit ThreadPool(std::size_t threads);
 
   std::size_t threads() const { return threads_; }

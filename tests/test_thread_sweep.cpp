@@ -4,11 +4,16 @@
 // fork-isolated pool, regardless of completion order.
 //
 // Also unit-tests the exec::ThreadPool itself: every index runs exactly
-// once, exceptions propagate (lowest index wins), and thread counts
-// degenerate gracefully.
+// once, exceptions propagate (lowest index wins), thread counts
+// degenerate gracefully and 0 threads follows the CPU affinity mask; and
+// pins the figure binaries' bench::parallel_map batches bit-identical to
+// a serial loop over the same sweep points.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +23,7 @@
 #include "check/chaos.hpp"
 #include "core/multi_runner.hpp"
 #include "core/suite.hpp"
+#include "bench_common.hpp"
 #include "exec/journal.hpp"
 #include "exec/thread_pool.hpp"
 
@@ -56,12 +62,26 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ZeroThreadsResolvesToHardwareConcurrency) {
+TEST(ThreadPool, ZeroThreadsResolvesToAffinityCount) {
+  cpu_set_t mask;
+  ASSERT_EQ(sched_getaffinity(0, sizeof mask, &mask), 0);
   exec::ThreadPool pool(0);
-  EXPECT_GE(pool.threads(), 1u);
+  EXPECT_EQ(pool.threads(), static_cast<std::size_t>(CPU_COUNT(&mask)));
   std::atomic<int> ran{0};
   pool.parallel_indexed(3, [&](std::size_t) { ++ran; });
   EXPECT_EQ(ran.load(), 3);
+
+  // Narrow this thread's own mask to one CPU, as `taskset -c N` would:
+  // 0 threads must then mean the serial path.
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const std::size_t pinned = exec::ThreadPool(0).threads();
+  ASSERT_EQ(sched_setaffinity(0, sizeof mask, &mask), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(ThreadPool, MoreThreadsThanTasksAndEmptyRangesAreFine) {
@@ -89,6 +109,81 @@ TEST(ThreadPool, LowestIndexExceptionPropagatesAfterAllTasksFinish) {
   }
   // No early cancellation: every task still ran.
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Figure sweep points: bench::parallel_map byte-identical to serial.
+
+TEST(ParallelMap, ResultsComeBackInIndexOrder) {
+  const auto squares = bench::parallel_map(
+      257, [](std::size_t i) { return i * i; }, 4);
+  ASSERT_EQ(squares.size(), 257u);
+  for (std::size_t i = 0; i < squares.size(); ++i) EXPECT_EQ(squares[i], i * i);
+  EXPECT_TRUE(bench::parallel_map(0, [](std::size_t i) { return i; }).empty());
+}
+
+TEST(ParallelMap, ConcurrentFigurePointsBitEqualToSerial) {
+  // Real figure points at small iteration counts. Concurrent sim::Systems
+  // sharing any hidden state (a cache, an RNG, a pool) would show up as
+  // a differing bit.
+  const auto snb = sys::nfp6000_snb().config;
+  const auto bdw = sys::nfp6000_bdw().config;
+  const auto bdw_iommu = sys::with_iommu(bdw, true, 4096);
+
+  std::vector<bench::Point> points;
+  for (const auto cache : {core::CacheState::Thrash,
+                           core::CacheState::HostWarm}) {  // Fig 7 (a)
+    bench::LatencySpec lat;
+    lat.size = 8;
+    lat.window = 16ull << 20;
+    lat.cache = cache;
+    lat.cmd_if = true;
+    lat.iterations = 1500;
+    lat.warmup = 2000;
+    points.push_back({&snb, lat});
+  }
+  for (const auto* cfg : {&bdw, &bdw_iommu}) {  // Fig 9, 64 B at 16 MB
+    bench::BandwidthSpec bw;
+    bw.size = 64;
+    bw.window = 16ull << 20;
+    bw.iterations = 2000;
+    bw.warmup = 200;
+    points.push_back({cfg, bw});
+  }
+  for (const bool local : {true, false}) {  // Fig 8, 64 B at 64 KB
+    bench::BandwidthSpec bw;
+    bw.size = 64;
+    bw.window = 64ull << 10;
+    bw.local = local;
+    bw.iterations = 2000;
+    bw.warmup = 200;
+    points.push_back({&bdw, bw});
+  }
+
+  std::vector<double> serial;
+  for (const auto& p : points) {
+    if (const auto* lat = std::get_if<bench::LatencySpec>(&p.spec)) {
+      serial.push_back(bench::run_latency(*p.cfg, *lat).summary.median_ns);
+    } else {
+      serial.push_back(
+          bench::run_bw_gbps(*p.cfg, std::get<bench::BandwidthSpec>(p.spec)));
+    }
+  }
+  // Sanity: the points measure what their figures show, so a batch that
+  // returned one point's value everywhere could not pass.
+  EXPECT_GT(serial[0], serial[1]) << "cold read slower than warm (Fig 7)";
+  EXPECT_GT(serial[2], serial[3]) << "IOMMU misses cut bandwidth (Fig 9)";
+  EXPECT_GT(serial[4], serial[5]) << "remote node slower (Fig 8)";
+
+  for (int round = 0; round < 2; ++round) {
+    const auto parallel = bench::run_points(points, 4);
+    ASSERT_EQ(parallel.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel[i]),
+                std::bit_cast<std::uint64_t>(serial[i]))
+          << "point " << i << ": " << parallel[i] << " vs " << serial[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
