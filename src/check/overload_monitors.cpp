@@ -4,23 +4,13 @@
 
 namespace pcieb::check {
 
-OverloadMonitorSuite::OverloadMonitorSuite(MonitorConfig cfg) : cfg_(cfg) {
+OverloadMonitorSuite::OverloadMonitorSuite(MonitorConfig cfg) : log_(cfg) {
   probe_.on_epoch = [this](const nic::OverloadStats& st, Picos now) {
     on_epoch(st, now);
   };
   probe_.on_quiesce = [this](const nic::OverloadStats& st,
                              const std::vector<core::FlowStats>& flows,
                              Picos now) { on_quiesce(st, flows, now); };
-}
-
-void OverloadMonitorSuite::record(const char* monitor, Picos now,
-                                  std::string detail) {
-  ++total_;
-  Violation v{monitor, now, std::move(detail)};
-  if (cfg_.throw_on_violation) throw InvariantError(v);
-  if (violations_.size() < cfg_.max_recorded) {
-    violations_.push_back(std::move(v));
-  }
 }
 
 void OverloadMonitorSuite::check_conservation(const nic::OverloadStats& st,
@@ -34,33 +24,33 @@ void OverloadMonitorSuite::check_conservation(const nic::OverloadStats& st,
        << st.dropped_ring << ", admission " << st.dropped_admission
        << ") + in-flight(dma " << st.dma_inflight << ", backlog " << st.backlog
        << ", service " << st.in_service << ")";
-    record("overload.conservation", now, os.str());
+    log_.record("overload.conservation", now, os.str());
   }
 }
 
 void OverloadMonitorSuite::check_occupancy(const nic::OverloadStats& st,
                                            Picos now) {
   if (st.ring_max_pending > st.ring_slots) {
-    record("overload.occupancy", now,
-           "ring occupancy " + std::to_string(st.ring_max_pending) +
-               " exceeded " + std::to_string(st.ring_slots) + " slots");
+    log_.record("overload.occupancy", now,
+                "ring occupancy " + std::to_string(st.ring_max_pending) +
+                    " exceeded " + std::to_string(st.ring_slots) + " slots");
   }
   if (st.creds_max > st.ring_slots) {
-    record("overload.occupancy", now,
-           "freelist credits " + std::to_string(st.creds_max) +
-               " exceeded ring size " + std::to_string(st.ring_slots));
+    log_.record("overload.occupancy", now,
+                "freelist credits " + std::to_string(st.creds_max) +
+                    " exceeded ring size " + std::to_string(st.ring_slots));
   }
   if (st.admission_slots != 0 && st.backlog_max > st.admission_slots) {
-    record("overload.occupancy", now,
-           "host backlog " + std::to_string(st.backlog_max) +
-               " exceeded admission threshold " +
-               std::to_string(st.admission_slots));
+    log_.record("overload.occupancy", now,
+                "host backlog " + std::to_string(st.backlog_max) +
+                    " exceeded admission threshold " +
+                    std::to_string(st.admission_slots));
   }
   if (st.pause_ps > st.pause_budget) {
-    record("overload.occupancy", now,
-           "PAUSE time " + std::to_string(st.pause_ps) +
-               " ps exceeded budget " + std::to_string(st.pause_budget) +
-               " ps");
+    log_.record("overload.occupancy", now,
+                "PAUSE time " + std::to_string(st.pause_ps) +
+                    " ps exceeded budget " + std::to_string(st.pause_budget) +
+                    " ps");
   }
 }
 
@@ -76,10 +66,10 @@ void OverloadMonitorSuite::on_epoch(const nic::OverloadStats& st, Picos now) {
   // pending because there is nothing to serve.
   if (epoch_seen_ && st.delivered <= last_delivered_ &&
       st.in_service > 0 && last_in_service_ > 0) {
-    record("overload.progress", now,
-           "receive livelock: service pending across a monitor epoch with "
-           "delivered stuck at " +
-               std::to_string(st.delivered));
+    log_.record("overload.progress", now,
+                "receive livelock: service pending across a monitor epoch with "
+                "delivered stuck at " +
+                    std::to_string(st.delivered));
   }
   epoch_seen_ = true;
   last_delivered_ = st.delivered;
@@ -93,16 +83,16 @@ void OverloadMonitorSuite::on_quiesce(const nic::OverloadStats& st,
   check_conservation(st, now);
   check_occupancy(st, now);
   if (st.in_flight() != 0) {
-    record("overload.conservation", now,
-           "frames still in flight at quiesce: dma " +
-               std::to_string(st.dma_inflight) + ", backlog " +
-               std::to_string(st.backlog) + ", service " +
-               std::to_string(st.in_service));
+    log_.record("overload.conservation", now,
+                "frames still in flight at quiesce: dma " +
+                    std::to_string(st.dma_inflight) + ", backlog " +
+                    std::to_string(st.backlog) + ", service " +
+                    std::to_string(st.in_service));
   }
   if (st.offered > 0 && st.delivered == 0) {
-    record("overload.progress", now,
-           "nothing delivered out of " + std::to_string(st.offered) +
-               " offered frames");
+    log_.record("overload.progress", now,
+                "nothing delivered out of " + std::to_string(st.offered) +
+                    " offered frames");
   }
   // Per-flow tallies are a second, independent conservation axis.
   std::uint64_t f_off = 0, f_del = 0, f_drop = 0;
@@ -118,22 +108,8 @@ void OverloadMonitorSuite::on_quiesce(const nic::OverloadStats& st,
        << f_off << "/delivered " << f_del << "/dropped " << f_drop
        << ", counters say " << st.offered << "/" << st.delivered << "/"
        << st.dropped_total();
-    record("overload.conservation", now, os.str());
+    log_.record("overload.conservation", now, os.str());
   }
-}
-
-std::string OverloadMonitorSuite::report() const {
-  if (total_ == 0) return "overload monitors: all invariants held\n";
-  std::ostringstream os;
-  for (const auto& v : violations_) os << v.format() << "\n";
-  if (total_ > violations_.size()) {
-    os << "... and " << (total_ - violations_.size())
-       << " further violations past the recording cap\n";
-  }
-  os << "overload monitors: " << total_ << " violation"
-     << (total_ == 1 ? "" : "s") << " (" << violations_.size()
-     << " recorded)\n";
-  return os.str();
 }
 
 }  // namespace pcieb::check

@@ -48,13 +48,13 @@ class OverloadMonitorSuite {
   /// for the suite's lifetime; one run per suite.
   const nic::OverloadProbe* probe() const { return &probe_; }
 
-  bool ok() const { return total_ == 0; }
-  std::uint64_t total_violations() const { return total_; }
-  const std::vector<Violation>& violations() const { return violations_; }
+  bool ok() const { return log_.ok(); }
+  std::uint64_t total_violations() const { return log_.total(); }
+  const std::vector<Violation>& violations() const { return log_.violations(); }
   bool quiesced() const { return quiesced_; }
 
   /// Human-readable summary, mirroring MonitorSuite::report().
-  std::string report() const;
+  std::string report() const { return log_.report("overload monitors"); }
 
  private:
   void on_epoch(const nic::OverloadStats& st, Picos now);
@@ -62,18 +62,14 @@ class OverloadMonitorSuite {
                   const std::vector<core::FlowStats>& flows, Picos now);
   void check_conservation(const nic::OverloadStats& st, Picos now);
   void check_occupancy(const nic::OverloadStats& st, Picos now);
-  void record(const char* monitor, Picos now, std::string detail);
 
-  MonitorConfig cfg_;
+  ViolationLog log_;
   nic::OverloadProbe probe_;
 
   std::uint64_t last_delivered_ = 0;
   std::uint64_t last_in_service_ = 0;
   bool epoch_seen_ = false;
   bool quiesced_ = false;
-
-  std::vector<Violation> violations_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace pcieb::check

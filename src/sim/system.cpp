@@ -4,6 +4,29 @@
 
 namespace pcieb::sim {
 
+void watch_function(fault::Watchdog& w, const DmaDevice& dev,
+                    const RootComplex& rc, const fault::AerLog& aer) {
+  w.add_outstanding("device.dma_read_ops",
+                    [&dev] { return dev.pending_read_ops(); });
+  w.add_outstanding("device.read_requests",
+                    [&dev] { return dev.inflight_read_requests(); });
+  w.add_outstanding("device.pending_write_tlps",
+                    [&dev] { return dev.pending_write_tlps(); });
+  w.add_outstanding("rc.posted_writes",
+                    [&rc] { return rc.posted_writes_pending(); });
+  w.add_outstanding("rc.host_mmio_reads",
+                    [&rc] { return rc.host_reads_pending(); });
+  w.add_diag("device.outstanding_tags",
+             [&dev] { return dev.outstanding_tags(); });
+  w.add_diag("aer", [&aer] {
+    return "correctable=" +
+           std::to_string(aer.total(fault::ErrorSeverity::Correctable)) +
+           " nonfatal=" +
+           std::to_string(aer.total(fault::ErrorSeverity::NonFatal)) +
+           " fatal=" + std::to_string(aer.total(fault::ErrorSeverity::Fatal));
+  });
+}
+
 System::System(const SystemConfig& cfg) : cfg_(cfg) {
   obs::ProfScope prof(obs::CostCenter::SystemBuild);
   cfg_.link.validate();
@@ -129,27 +152,7 @@ void System::arm_faults() {
       },
       cfg_.watchdog.check_every_events);
   device_->set_progress_hook([this] { watchdog_->kick(); });
-  DmaDevice* dev = device_.get();
-  RootComplex* rc = rc_.get();
-  watchdog_->add_outstanding("device.dma_read_ops",
-                             [dev] { return dev->pending_read_ops(); });
-  watchdog_->add_outstanding("device.read_requests",
-                             [dev] { return dev->inflight_read_requests(); });
-  watchdog_->add_outstanding("device.pending_write_tlps",
-                             [dev] { return dev->pending_write_tlps(); });
-  watchdog_->add_outstanding("rc.posted_writes",
-                             [rc] { return rc->posted_writes_pending(); });
-  watchdog_->add_outstanding("rc.host_mmio_reads",
-                             [rc] { return rc->host_reads_pending(); });
-  watchdog_->add_diag("device.outstanding_tags",
-                      [dev] { return dev->outstanding_tags(); });
-  watchdog_->add_diag("aer", [this] {
-    return "correctable=" +
-           std::to_string(aer_.total(fault::ErrorSeverity::Correctable)) +
-           " nonfatal=" +
-           std::to_string(aer_.total(fault::ErrorSeverity::NonFatal)) +
-           " fatal=" + std::to_string(aer_.total(fault::ErrorSeverity::Fatal));
-  });
+  watch_function(*watchdog_, *device_, *rc_, aer_);
   watchdog_->add_diag("injector", [this] {
     return "injected_total=" + std::to_string(injector_->injected_total());
   });

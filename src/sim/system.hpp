@@ -61,6 +61,14 @@ struct SystemConfig {
   std::uint64_t seed = 1;
 };
 
+/// Registers one PCIe function's outstanding-work ledger with `w`: the
+/// five counters a quiescent-deadlock report lists (device read ops, read
+/// requests and queued write TLPs; RC posted writes and host MMIO reads)
+/// plus the outstanding-tag dump and AER-total diags, in report order.
+/// Shared by System and every VF of a MultiTenantSystem.
+void watch_function(fault::Watchdog& w, const DmaDevice& dev,
+                    const RootComplex& rc, const fault::AerLog& aer);
+
 class System {
  public:
   explicit System(const SystemConfig& cfg);
@@ -101,7 +109,7 @@ class System {
     write_drop_observer_ = std::move(obs);
   }
   /// Posted-write payload bytes lost to drops so far.
-  std::uint64_t lost_write_bytes() const { return lost_write_bytes_; }
+  const std::uint64_t& lost_write_bytes() const { return lost_write_bytes_; }
 
   // --- fault machinery (armed iff config().fault_plan is non-empty) ----
   /// AER-style error log; always attached (legacy LinkFaultModel replays

@@ -164,35 +164,9 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
         for (Vf& v : vfs_) v.watchdog->on_event(now, executed);
       },
       base.watchdog.check_every_events);
-  for (unsigned vf = 0; vf < n; ++vf) {
-    Vf& v = vfs_[vf];
-    fault::Watchdog* w = v.watchdog.get();
-    DmaDevice* dev = v.device.get();
-    RootComplex* rc = v.rc.get();
-    w->add_outstanding("device.dma_read_ops",
-                       [dev] { return dev->pending_read_ops(); });
-    w->add_outstanding("device.read_requests",
-                       [dev] { return dev->inflight_read_requests(); });
-    w->add_outstanding("device.pending_write_tlps",
-                       [dev] { return dev->pending_write_tlps(); });
-    w->add_outstanding("rc.posted_writes",
-                       [rc] { return rc->posted_writes_pending(); });
-    w->add_outstanding("rc.host_mmio_reads",
-                       [rc] { return rc->host_reads_pending(); });
-    // The rid prefix in the tag dump names the owning VF — the whole
-    // point of a per-VF quiescent-deadlock report.
-    w->add_diag("device.outstanding_tags",
-                [dev] { return dev->outstanding_tags(); });
-    fault::AerLog* aer = &v.aer;
-    w->add_diag("aer", [aer] {
-      return "correctable=" +
-             std::to_string(aer->total(fault::ErrorSeverity::Correctable)) +
-             " nonfatal=" +
-             std::to_string(aer->total(fault::ErrorSeverity::NonFatal)) +
-             " fatal=" +
-             std::to_string(aer->total(fault::ErrorSeverity::Fatal));
-    });
-  }
+  // The rid prefix in the tag dump names the owning VF — the whole point
+  // of a per-VF quiescent-deadlock report.
+  for (Vf& v : vfs_) watch_function(*v.watchdog, *v.device, *v.rc, v.aer);
 
   if (!base.fault_plan.empty()) arm_faults();
   if (base.recovery.enabled) {

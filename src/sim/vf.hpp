@@ -138,7 +138,7 @@ class MultiTenantSystem {
   void set_write_drop_observer(unsigned vf, WriteObserver obs) {
     vfs_.at(vf).write_drop_observer = std::move(obs);
   }
-  std::uint64_t lost_write_bytes(unsigned vf) const {
+  const std::uint64_t& lost_write_bytes(unsigned vf) const {
     return vfs_.at(vf).lost_write_bytes;
   }
 

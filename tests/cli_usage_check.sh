@@ -38,6 +38,25 @@ expect_ok() {
     fi
 }
 
+# expect_stdout <description> <line> -- <args...>: exit code 0 and `line`
+# printed verbatim on stdout.
+expect_stdout() {
+    local desc="$1" want="$2"; shift 2
+    [[ "$1" == "--" ]] && shift
+    local out
+    out=$("$PCIEBENCH" "$@" 2>/dev/null)
+    local code=$?
+    if [[ $code -ne 0 ]]; then
+        echo "FAIL($desc): exit $code, want 0: pciebench $*" >&2
+        fail=1
+    elif ! grep -qxF "$want" <<<"$out"; then
+        echo "FAIL($desc): stdout lacks '$want': pciebench $*" >&2
+        fail=1
+    else
+        echo "   ok($desc): '$want'"
+    fi
+}
+
 RUN=(run --system NFP6000-HSW --bench LAT_RD --iters 50 --warmup 10)
 
 expect_usage "no command"          --
@@ -106,6 +125,7 @@ expect_ok "recovery with overrides" -- "${RUN[@]}" --recovery default,max-resets
 expect_ok "chaos recovery + throw-monitors" -- chaos --trials 2 --iters 50 --recovery default --throw-monitors
 expect_ok "tenant run" -- run --system NFP6000-HSW --bench BW_WR --iters 50 --tenants 2
 expect_ok "tenant run full knobs" -- run --system NFP6000-HSW --bench BW_WR --iters 50 --tenants 4 --attacker 1 --isolation weakened --weights 2,1,1,1 --ddio-quota 2,2,2,2
+expect_stdout "tenant run monitors" "monitors: all invariants held" -- run --system NFP6000-HSW --tenants 2 --bench BW_RD --iters 200 --monitors
 expect_ok "tenant chaos" -- chaos --trials 2 --iters 50 --tenants 2 --attacker 0
 expect_ok "overload quick run" -- overload --system NFP6000-HSW --offered-load 2 --frames 400 --capacity-pps 2000000
 expect_ok "overload coalesce bp monitors" -- overload --system NFP6000-HSW --offered-load 2 --service-mode coalesce --backpressure on --frames 400 --capacity-pps 2000000 --monitors

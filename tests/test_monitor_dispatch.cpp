@@ -14,6 +14,7 @@
 #include "core/runner.hpp"
 #include "sim/simulator.hpp"
 #include "sim/system.hpp"
+#include "sim/vf.hpp"
 #include "sysconfig/profiles.hpp"
 
 using namespace pcieb;
@@ -92,17 +93,29 @@ TEST(MonitorDispatch, SimulatorResetDetachesAllMonitors) {
   EXPECT_TRUE(log.empty());
 }
 
-// MonitorSuite registers one devirtualized slot per invariant (clock,
-// credits, tags, replay) and its destructor removes exactly its own —
+// MonitorSuite registers one devirtualized slot that runs every per-step
+// invariant of every function, whether it watches a System or all VFs of
+// a MultiTenantSystem, and its destructor removes exactly that slot —
 // the RAII contract the trial loop leans on with pooled Systems.
-TEST(MonitorDispatch, MonitorSuiteOwnsFourSlotsAndDetachesOnDestruction) {
+TEST(MonitorDispatch, MonitorSuiteOwnsOneSlotAndDetachesOnDestruction) {
   sim::System system(sys::nfp6000_hsw().config);
   EXPECT_EQ(system.sim().monitor_count(), 0u);
   {
     check::MonitorSuite suite(system);
-    EXPECT_EQ(system.sim().monitor_count(), 4u);
+    EXPECT_EQ(system.sim().monitor_count(), 1u);
   }
   EXPECT_EQ(system.sim().monitor_count(), 0u);
+
+  sim::MultiTenantConfig mc;
+  mc.base = sys::nfp6000_hsw().config;
+  mc.tenants = 4;
+  sim::MultiTenantSystem tenants(mc);
+  EXPECT_EQ(tenants.sim().monitor_count(), 0u);
+  {
+    check::MonitorSuite suite(tenants);
+    EXPECT_EQ(tenants.sim().monitor_count(), 1u);
+  }
+  EXPECT_EQ(tenants.sim().monitor_count(), 0u);
 }
 
 // The PR-6 telemetry mirror, one layer over: a bench run with the

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "check/tenant_monitors.hpp"
+#include "check/monitors.hpp"
 #include "core/tenant_runner.hpp"
 #include "fault/plan.hpp"
 #include "fault/recovery.hpp"
@@ -63,7 +63,7 @@ TEST(MultiTenantSystemTest, CtorValidatesConfig) {
 
 TEST(MultiTenantSystemTest, ArmedTenantsCompleteIndependentWorkloads) {
   sim::MultiTenantSystem system(tenant_cfg(3));
-  check::TenantMonitorSuite monitors(system);
+  check::MonitorSuite monitors(system);
   const auto results =
       core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
   monitors.check_quiescent();
@@ -158,18 +158,30 @@ TEST(MultiTenantSystemTest, SeededMisrouteFiresBleedMonitor) {
   auto cfg = tenant_cfg(4, "drop@nth=5,vf=0");
   sim::MultiTenantSystem system(cfg);
   system.test_misroute_completions(true);
-  check::TenantMonitorSuite monitors(system);
+  check::MonitorSuite monitors(system);
   core::run_tenant_bench(system, bench_params(core::BenchKind::BwRd));
   // vf0's dropped upstream TLP armed a one-shot misroute: its next
   // completion was delivered to vf1 carrying vf0's RID, which vf1's
   // ingress guard counted and the bleed monitor flagged.
   EXPECT_GT(system.device(1).foreign_tlps(), 0u);
   ASSERT_FALSE(monitors.ok());
-  bool bleed = false;
-  for (const auto& v : monitors.violations()) {
-    if (std::string(v.monitor) == "bleed") bleed = true;
+  const check::Violation& first = monitors.violations().front();
+  EXPECT_EQ(first.monitor, "bleed") << monitors.report();
+  EXPECT_EQ(first.detail.rfind("vf1: ", 0), 0u) << first.detail;
+
+  // Throw mode stops the run at that same first breach.
+  sim::MultiTenantSystem thrown(cfg);
+  thrown.test_misroute_completions(true);
+  check::MonitorConfig mc;
+  mc.throw_on_violation = true;
+  check::MonitorSuite throwing(thrown, mc);
+  try {
+    core::run_tenant_bench(thrown, bench_params(core::BenchKind::BwRd));
+    FAIL() << "expected InvariantError";
+  } catch (const check::InvariantError& e) {
+    EXPECT_EQ(e.violation().monitor, "bleed") << e.what();
+    EXPECT_EQ(e.violation().detail, first.detail);
   }
-  EXPECT_TRUE(bleed) << monitors.report();
 }
 
 // Satellite: a quiescent-deadlock report names the owning VF. The tag
