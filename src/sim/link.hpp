@@ -11,18 +11,20 @@
 // replay; and when one TLP accumulates REPLAY_NUM (4) replays the link
 // escalates to a retrain, which blocks the wire for LinkDllConfig::
 // retrain_time. The retry buffer preserves order, so recovery simply
-// extends the wire occupancy in front of later TLPs. Faults come either
-// from an attached fault::FaultInjector (drops, forced corruption bursts,
-// poison, downtrain windows) or from the legacy LinkFaultModel shim.
+// extends the wire occupancy in front of later TLPs. Faults come from an
+// attached fault::FaultInjector (drops, corruption bursts, ack loss,
+// poison, downtrain windows, surprise link-down).
+//
+// Every TLP is transmitted on a lane: a plain link is one lane holding the
+// whole rate, and SR-IOV tenant mode splits the direction into one TDM
+// lane per function (configure_tenants). Both run the same send path.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "fault/aer.hpp"
 #include "fault/injector.hpp"
 #include "obs/trace.hpp"
@@ -32,18 +34,6 @@
 #include "sim/simulator.hpp"
 
 namespace pcieb::sim {
-
-/// Legacy DLL error injection (kept as a thin compat shim over the replay
-/// state machine): with the given per-TLP probability a TLP fails its
-/// LCRC check once, the receiver NAKs it, and the transmitter replays it
-/// after `replay_penalty` — consuming the wire twice. New code should
-/// configure a fault::FaultPlan instead (corrupt@prob=...), which adds
-/// bursts, ack-loss, drops, poison and downtrain on top.
-struct LinkFaultModel {
-  double replay_probability = 0.0;
-  Picos replay_penalty = from_nanos(250);
-  std::uint64_t seed = 0x11ce;
-};
 
 /// Data-link-layer recovery parameters.
 struct LinkDllConfig {
@@ -63,48 +53,38 @@ class Link {
   using Deliver = std::function<void(const proto::Tlp&)>;
 
   Link(Simulator& sim, const proto::LinkConfig& cfg, Picos propagation,
-       const LinkFaultModel& faults = {}, const LinkDllConfig& dll = {})
-      : sim_(sim), cfg_(cfg), wire_(sim), propagation_(propagation),
-        faults_(faults), dll_(dll), rng_(faults.seed),
-        line_rate_(cfg.tlp_gbps()) {
-    // The compat shim's penalty is the NAK round trip of its era.
-    if (faults_.replay_probability > 0.0) {
-      dll_.ack_latency = faults_.replay_penalty;
-    }
-    for (std::size_t t = 0; t < proto::kTlpTypeCount; ++t) {
-      overhead_[t] =
-          proto::overhead_bytes(static_cast<proto::TlpType>(t), cfg_);
-    }
-  }
+       const LinkDllConfig& dll = {});
 
   void set_deliver(Deliver d) { deliver_ = std::move(d); }
 
-  /// Queue a TLP for transmission. Serialization starts when the wire is
-  /// free; the receiver's deliver callback fires at
+  /// Queue a TLP for transmission on its lane. Serialization starts when
+  /// the lane is free; the receiver's deliver callback fires at
   /// serialization-complete + propagation. Returns the delivery time
   /// (for dropped TLPs: when delivery would have happened).
   Picos send(const proto::Tlp& tlp);
 
-  /// When the wire would next be free (for backpressure decisions).
-  Picos next_free() const { return wire_.next_free(); }
-
-  std::uint64_t tlps_sent() const { return tlps_; }
-  std::uint64_t wire_bytes_sent() const { return bytes_; }
-  std::uint64_t payload_bytes_sent() const { return payload_bytes_; }
-  std::uint64_t replays() const { return replays_; }
-  std::uint64_t replay_timeouts() const { return replay_timeouts_; }
-  std::uint64_t retrains() const { return retrains_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t poisoned() const { return poisoned_; }
+  // Totals over every lane.
+  std::uint64_t tlps_sent() const { return total(&FuncCounters::tlps); }
+  std::uint64_t wire_bytes_sent() const {
+    return total(&FuncCounters::wire_bytes);
+  }
+  std::uint64_t payload_bytes_sent() const {
+    return total(&FuncCounters::payload_bytes);
+  }
+  std::uint64_t replays() const { return total(&FuncCounters::replays); }
+  std::uint64_t replay_timeouts() const {
+    return total(&FuncCounters::replay_timeouts);
+  }
+  std::uint64_t retrains() const { return total(&FuncCounters::retrains); }
+  std::uint64_t dropped() const { return total(&FuncCounters::dropped); }
+  std::uint64_t poisoned() const { return total(&FuncCounters::poisoned); }
+  std::uint64_t blocked_drops() const {
+    return total(&FuncCounters::blocked_drops);
+  }
   std::uint64_t downtrains() const { return downtrains_; }
   /// TLPs sent but not yet delivered (retry-buffer occupancy proxy).
   std::uint64_t unacked() const { return unacked_; }
-  std::uint64_t unacked_hwm() const { return unacked_hwm_; }
-  Picos busy_total() const { return wire_.busy_total(); }
-
-  const proto::LinkConfig& config() const { return cfg_; }
-  const LinkDllConfig& dll_config() const { return dll_; }
-  void set_dll_config(const LinkDllConfig& dll) { dll_ = dll; }
+  Picos busy_total() const;
 
   /// Attach fault machinery (nullptrs detach). `upstream` names this
   /// direction for the injector's dir= predicate (device -> RC is up).
@@ -133,7 +113,6 @@ class Link {
   /// the port is down. Discards are accounted through the drop hook.
   void set_blocked(bool blocked) { blocked_ = blocked; }
   bool blocked() const { return blocked_; }
-  std::uint64_t blocked_drops() const { return blocked_drops_; }
 
   /// Recovery-action derate (adaptive downtrain): retrain this direction
   /// to `lanes`/`gen` until cleared. An injected downtrain window takes
@@ -150,32 +129,36 @@ class Link {
   // rate (non-work-conserving time-division arbitration, like a fixed
   // DLL timeslot schedule). A lane's timing is a pure function of its own
   // traffic: one tenant saturating its slice never delays another — the
-  // property the isolation-identity acceptance pins. Aggregate counters
-  // keep counting across all lanes; per-function counters ride alongside.
+  // property the isolation-identity acceptance pins. The link totals
+  // above are sums over the lanes.
 
   /// Enter tenant mode with one lane per function; weights[f] is lane
   /// f's arbitration weight (> 0). Call once, before any traffic.
   void configure_tenants(const std::vector<unsigned>& weights);
-  bool tenant_mode() const { return !lanes_.empty(); }
-  unsigned tenant_count() const { return static_cast<unsigned>(lanes_.size()); }
+  bool tenant_mode() const { return tenant_; }
 
   /// Per-function containment: discard function f's TLPs at this port
   /// (before the injector is consulted — same determinism contract as
   /// set_blocked) while other functions keep transmitting.
-  void set_func_blocked(unsigned func, bool blocked);
-  bool func_blocked(unsigned func) const { return lanes_.at(func).blocked; }
+  void set_func_blocked(unsigned func, bool blocked) {
+    lane_of(func).blocked = blocked;
+  }
 
   /// VF-scoped recovery derate: only function f's lane retrains to the
   /// reduced lanes/gen share.
   void set_func_recovery_derate(unsigned func, unsigned lanes, unsigned gen);
-  void clear_func_recovery_derate(unsigned func);
+  void clear_func_recovery_derate(unsigned func) {
+    lane_of(func).derate_active = false;
+  }
 
   /// Route function f's DLL error records (replays, retrains, poison) to
   /// its own AER log; link-wide events (surprise link-down, downtrain)
   /// stay on the shared log.
-  void set_func_aer(unsigned func, fault::AerLog* aer);
+  void set_func_aer(unsigned func, fault::AerLog* aer) {
+    lane_of(func).aer = aer;
+  }
 
-  /// Per-function counters (tenant mode only).
+  /// Per-lane counters; in tenant mode lane f carries function f.
   struct FuncCounters {
     std::uint64_t tlps = 0;
     std::uint64_t wire_bytes = 0;
@@ -188,13 +171,15 @@ class Link {
     std::uint64_t blocked_drops = 0;
   };
   const FuncCounters& func_counters(unsigned func) const {
-    return lanes_.at(func).counters;
+    return lane_of(func).counters;
   }
 
   /// Stable addresses of this direction's monotonic totals, for
   /// obs::CounterRegistry's raw readers — snapshot reads skip the
-  /// std::function hop. Pointers stay valid for the Link's lifetime,
-  /// across reset() included.
+  /// std::function hop. On a plain link the totals are lane 0's counters,
+  /// which stay in place for the Link's lifetime, across reset()
+  /// included. Tenant-mode totals are lane sums with no single address,
+  /// so this throws std::logic_error in tenant mode.
   struct CounterSources {
     const std::uint64_t* tlps;
     const std::uint64_t* wire_bytes;
@@ -205,10 +190,7 @@ class Link {
     const std::uint64_t* dropped;
     const std::uint64_t* poisoned;
   };
-  CounterSources counter_sources() const {
-    return {&tlps_,     &bytes_,    &payload_bytes_, &replays_,
-            &replay_timeouts_, &retrains_, &dropped_,       &poisoned_};
-  }
+  CounterSources counter_sources() const;
 
   /// Attach tracing (nullptr detaches); `comp` names this direction's
   /// trace track (LinkUp / LinkDown).
@@ -218,76 +200,59 @@ class Link {
   }
 
   /// Trial-reuse reset to the just-constructed state for the same wire
-  /// shape (LinkConfig and propagation are fixed at construction). The
-  /// fault shim / DLL parameters are re-derived exactly as the
-  /// constructor does, the legacy RNG is re-seeded, and every hook,
-  /// attachment, counter and containment/derate latch is dropped. The
-  /// serialization memo survives: it is a pure function of the unchanged
-  /// line rate.
-  void reset(const LinkFaultModel& faults, const LinkDllConfig& dll) {
-    wire_.reset();
-    faults_ = faults;
-    dll_ = dll;
-    if (faults_.replay_probability > 0.0) {
-      dll_.ack_latency = faults_.replay_penalty;
-    }
-    rng_ = Xoshiro256(faults_.seed);
-    deliver_ = {};
-    on_drop_ = {};
-    on_linkdown_ = {};
-    injector_ = nullptr;
-    aer_ = nullptr;
-    upstream_ = true;
-    trace_ = nullptr;
-    trace_comp_ = obs::Component::LinkUp;
-    tlps_ = bytes_ = payload_bytes_ = 0;
-    replays_ = replay_timeouts_ = retrains_ = 0;
-    dropped_ = poisoned_ = downtrains_ = 0;
-    unacked_ = unacked_hwm_ = 0;
-    downtrained_ = false;
-    derated_rule_ = nullptr;
-    derated_rate_ = 0.0;
-    blocked_ = false;
-    blocked_drops_ = 0;
-    recovery_derate_active_ = false;
-    recovery_rate_ = 0.0;
-    lanes_.clear();
-  }
+  /// shape (LinkConfig and propagation are fixed at construction): every
+  /// hook, attachment, counter, containment/derate latch and tenant lane
+  /// is dropped. Lane 0 is reset in place.
+  void reset(const LinkDllConfig& dll);
 
  private:
-  /// One TDM virtual lane (tenant mode).
+  /// One serializing lane: the whole link (share 1.0) on a plain link,
+  /// one function's TDM slice in tenant mode.
   struct Lane {
-    std::unique_ptr<SerialResource> wire;
-    double share = 1.0;      ///< weight / total weight
-    double base_rate = 0.0;  ///< share * line rate, memo anchor
+    Lane(Simulator& sim, double lane_share, double line_rate)
+        : wire(sim), share(lane_share), base_rate(lane_share * line_rate) {}
+    /// Memo bound: max header + MPS payload with margin.
+    static constexpr unsigned kSerMemoMax = 8192;
+
+    SerialResource wire;
+    double share;      ///< weight / total weight (1.0 on a plain link)
+    double base_rate;  ///< share * line rate, memo anchor
     bool blocked = false;
     bool derate_active = false;
     double derate_rate = 0.0;  ///< derated link rate (share applied later)
-    fault::AerLog* aer = nullptr;
+    fault::AerLog* aer = nullptr;  ///< nullptr: the link's shared log
     FuncCounters counters;
+    /// wire_bytes -> serialization time at base_rate (-1 = not yet
+    /// computed).
     std::vector<Picos> ser_memo;
   };
+
+  Lane& lane_of(unsigned func) {
+    return func == 0 ? lane0_ : more_lanes_.at(func - 1);
+  }
+  const Lane& lane_of(unsigned func) const {
+    return func == 0 ? lane0_ : more_lanes_.at(func - 1);
+  }
+  std::uint64_t total(std::uint64_t FuncCounters::*field) const {
+    std::uint64_t sum = lane0_.counters.*field;
+    for (const Lane& l : more_lanes_) sum += l.counters.*field;
+    return sum;
+  }
 
   /// TLP-layer rate honouring any active downtrain window; logs the
   /// transition into a window once per entry.
   double effective_rate();
-  /// Run `n` replay attempts (each: wasted serialization + `gap`),
-  /// escalating to a retrain at REPLAY_NUM. Returns false once a retrain
-  /// happened (the fault is gone; stop injecting attempts).
-  bool replay_attempts(unsigned n, Picos gap, Picos ser, unsigned wire_bytes,
-                       const proto::Tlp& tlp, fault::ErrorType type,
-                       unsigned& consecutive);
-  /// Tenant-mode transmit path: serialization and DLL recovery on the
-  /// sender function's own lane clock.
-  Picos send_tenant(const proto::Tlp& tlp);
+  /// Run `n` replay attempts on `lane` (each: wasted serialization +
+  /// `gap`), escalating to a retrain at REPLAY_NUM. Returns false once a
+  /// retrain happened (the fault is gone; stop injecting attempts).
+  bool replay_attempts(Lane& lane, fault::AerLog* aer, unsigned n, Picos gap,
+                       Picos ser, unsigned wire_bytes, const proto::Tlp& tlp,
+                       fault::ErrorType type, unsigned& consecutive);
 
   Simulator& sim_;
   proto::LinkConfig cfg_;
-  SerialResource wire_;
   Picos propagation_;
-  LinkFaultModel faults_;
   LinkDllConfig dll_;
-  Xoshiro256 rng_;
   Deliver deliver_;
   DropHook on_drop_;
   LinkDownHook on_linkdown_;
@@ -296,22 +261,12 @@ class Link {
   bool upstream_ = true;
   obs::TraceSink* trace_ = nullptr;
   obs::Component trace_comp_ = obs::Component::LinkUp;
-  std::uint64_t tlps_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t payload_bytes_ = 0;
-  std::uint64_t replays_ = 0;
-  std::uint64_t replay_timeouts_ = 0;
-  std::uint64_t retrains_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t poisoned_ = 0;
   std::uint64_t downtrains_ = 0;
   std::uint64_t unacked_ = 0;
-  std::uint64_t unacked_hwm_ = 0;
   bool downtrained_ = false;
   const fault::FaultRule* derated_rule_ = nullptr;
   double derated_rate_ = 0.0;
   bool blocked_ = false;
-  std::uint64_t blocked_drops_ = 0;
   bool recovery_derate_active_ = false;
   double recovery_rate_ = 0.0;
   /// Per-TLP wire accounting without the per-call switch chain in
@@ -325,15 +280,13 @@ class Link {
   /// cfg_.tlp_gbps() computed once — it chains two switch lookups and
   /// floating-point math, far too heavy for a per-TLP call.
   double line_rate_;
-  /// Memo bound for ser_memo_: max header + MPS payload with margin.
-  static constexpr unsigned kSerMemoMax = 8192;
-  /// wire_bytes -> serialization time at line_rate_, filled lazily with
-  /// the identical FP expression (-1 = not yet computed). Bypassed while
-  /// a downtrain window derates the rate.
-  std::vector<Picos> ser_memo_;
-  /// Tenant mode: one virtual lane per function (empty = single-tenant,
-  /// which keeps the flat path above byte-identical and branch-light).
-  std::vector<Lane> lanes_;
+  /// Set by configure_tenants: TLPs pick their lane by function number.
+  /// Otherwise every TLP rides lane 0.
+  bool tenant_ = false;
+  /// Lane 0 lives inline so its counters (the plain link's totals) keep
+  /// their addresses for counter_sources(); tenant lanes 1..n-1 follow.
+  Lane lane0_;
+  std::vector<Lane> more_lanes_;
 };
 
 }  // namespace pcieb::sim

@@ -37,11 +37,7 @@ MultiDeviceSystem::MultiDeviceSystem(const SystemConfig& base,
 
 void MultiDeviceSystem::warm_host(const HostBuffer& buf, std::uint64_t offset,
                                   std::uint64_t len) {
-  auto& cache = mem_->cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.host_touch(buf.iova(o), /*dirty=*/true);
-  }
+  mem_->cache().warm_host_range(buf.iova(offset), len, /*dirty=*/true);
 }
 
 void MultiDeviceSystem::thrash_cache() { mem_->cache().thrash(); }

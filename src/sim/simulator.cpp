@@ -36,10 +36,8 @@ bool Simulator::step() {
     step_hook_(now_, executed_);
   }
   node->fn.invoke_consume();
-#if !defined(PCIEB_DISABLE_CHECK_DISPATCH)
   // Checked after the callback so monitors observe the post-event state.
   if (monitor_count_ != 0) dispatch_monitors(now_);
-#endif
   // Sampled last so telemetry intervals include this event's effects.
   if (sample_hook_ && ++since_sample_ >= sample_every_) {
     since_sample_ = 0;
@@ -73,12 +71,10 @@ bool Simulator::step_profiled() {
     obs::ProfScope scope(&prof, obs::CostCenter::EventCallback);
     node->fn.invoke_consume();
   }
-#if !defined(PCIEB_DISABLE_CHECK_DISPATCH)
   if (monitor_count_ != 0) {
     obs::ProfScope scope(&prof, obs::CostCenter::Monitors);
     dispatch_monitors(now_);
   }
-#endif
   if (sample_hook_ && ++since_sample_ >= sample_every_) {
     since_sample_ = 0;
     obs::ProfScope scope(&prof, obs::CostCenter::CountersTrace);
@@ -88,13 +84,6 @@ bool Simulator::step_profiled() {
 }
 
 void Simulator::add_monitor(MonitorFn fn, void* ctx) {
-#if defined(PCIEB_DISABLE_CHECK_DISPATCH)
-  (void)fn;
-  (void)ctx;
-  throw std::logic_error(
-      "Simulator::add_monitor: built with PCIEB_DISABLE_CHECK_DISPATCH — "
-      "monitor dispatch is compiled out");
-#else
   if (fn == nullptr) {
     throw std::logic_error("Simulator::add_monitor: null monitor");
   }
@@ -102,7 +91,6 @@ void Simulator::add_monitor(MonitorFn fn, void* ctx) {
     throw std::logic_error("Simulator::add_monitor: monitor slots exhausted");
   }
   monitors_[monitor_count_++] = MonitorSlot{fn, ctx};
-#endif
 }
 
 void Simulator::remove_monitor(MonitorFn fn, void* ctx) {

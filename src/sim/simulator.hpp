@@ -86,11 +86,6 @@ class Simulator {
   /// flattened array after every event's callback; the disarmed path pays
   /// exactly one integer test (monitor_count_ == 0). Monitors run in
   /// registration order and may throw to abort the run.
-  ///
-  /// Compile-time opt-out: building with -DPCIEB_DISABLE_CHECK_DISPATCH
-  /// removes the dispatch from step() entirely (the perf harness's
-  /// zero-cost configuration); add_monitor then throws, so a misconfigured
-  /// build fails loudly instead of silently skipping invariants.
   using MonitorFn = void (*)(void*, Picos);
   static constexpr std::size_t kMaxMonitors = 8;
   void add_monitor(MonitorFn fn, void* ctx);

@@ -45,11 +45,7 @@ SwitchedSystem::SwitchedSystem(const SystemConfig& base, unsigned device_count,
 
 void SwitchedSystem::warm_host(const HostBuffer& buf, std::uint64_t offset,
                                std::uint64_t len) {
-  auto& cache = mem_->cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.host_touch(buf.iova(o), /*dirty=*/true);
-  }
+  mem_->cache().warm_host_range(buf.iova(offset), len, /*dirty=*/true);
 }
 
 void SwitchedSystem::thrash_cache() { mem_->cache().thrash(); }

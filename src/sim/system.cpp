@@ -30,13 +30,9 @@ void watch_function(fault::Watchdog& w, const DmaDevice& dev,
 System::System(const SystemConfig& cfg) : cfg_(cfg) {
   obs::ProfScope prof(obs::CostCenter::SystemBuild);
   cfg_.link.validate();
-  LinkFaultModel up_faults = cfg_.link_faults;
-  LinkFaultModel down_faults = cfg_.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_ = std::make_unique<Link>(sim_, cfg_.link, cfg_.up_propagation, up_faults,
-                               cfg_.dll);
+  up_ = std::make_unique<Link>(sim_, cfg_.link, cfg_.up_propagation, cfg_.dll);
   down_ = std::make_unique<Link>(sim_, cfg_.link, cfg_.down_propagation,
-                                 down_faults, cfg_.dll);
+                                 cfg_.dll);
   mem_ = std::make_unique<MemorySystem>(sim_, cfg_.cache, cfg_.mem,
                                         cfg_.jitter, cfg_.seed);
   iommu_ = std::make_unique<Iommu>(sim_, cfg_.iommu);
@@ -58,11 +54,8 @@ void System::reset(const SystemConfig& cfg) {
   cfg_ = cfg;
   cfg_.link.validate();
   sim_.reset();
-  LinkFaultModel up_faults = cfg_.link_faults;
-  LinkFaultModel down_faults = cfg_.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_->reset(up_faults, cfg_.dll);
-  down_->reset(down_faults, cfg_.dll);
+  up_->reset(cfg_.dll);
+  down_->reset(cfg_.dll);
   mem_->reset(cfg_.seed);
   iommu_->reset();
   rc_->reset();
@@ -99,9 +92,9 @@ void System::wire() {
     if (write_drop_observer_) write_drop_observer_(bytes);
   });
 
-  // Error reporting is always on (legacy LinkFaultModel replays show up
-  // too); the injector, read timeouts and watchdog arm only with a plan,
-  // keeping plan-free runs bit-identical to the seed.
+  // Error reporting is always on; the injector, read timeouts and
+  // watchdog arm only with a plan, keeping plan-free runs bit-identical to
+  // the seed.
   up_->set_aer(&aer_);
   down_->set_aer(&aer_);
   iommu_->set_aer(&aer_);

@@ -43,9 +43,6 @@ struct SystemConfig {
   /// One-way PHY + switch-fabric pipeline delay per direction.
   Picos up_propagation = from_nanos(140);
   Picos down_propagation = from_nanos(140);
-  /// DLL error injection (replays); off by default. Legacy shim — new
-  /// code should put corrupt@prob=... rules in `fault_plan` instead.
-  LinkFaultModel link_faults;
   /// DLL recovery parameters (ACK latency, REPLAY_TIMER/NUM, retrain).
   LinkDllConfig dll;
   /// Deterministic fault plan; empty keeps the system entirely fault-free
@@ -112,8 +109,7 @@ class System {
   const std::uint64_t& lost_write_bytes() const { return lost_write_bytes_; }
 
   // --- fault machinery (armed iff config().fault_plan is non-empty) ----
-  /// AER-style error log; always attached (legacy LinkFaultModel replays
-  /// report too), cheap when nothing records.
+  /// AER-style error log; always attached, cheap when nothing records.
   fault::AerLog& aer() { return aer_; }
   const fault::AerLog& aer() const { return aer_; }
   /// The active injector, or nullptr when no fault plan is armed.

@@ -52,13 +52,9 @@ MultiTenantSystem::MultiTenantSystem(const MultiTenantConfig& cfg)
   SystemConfig& base = cfg_.base;
   base.link.validate();
 
-  LinkFaultModel up_faults = base.link_faults;
-  LinkFaultModel down_faults = base.link_faults;
-  down_faults.seed ^= 0xd041ULL;
-  up_ = std::make_unique<Link>(sim_, base.link, base.up_propagation, up_faults,
-                               base.dll);
+  up_ = std::make_unique<Link>(sim_, base.link, base.up_propagation, base.dll);
   down_ = std::make_unique<Link>(sim_, base.link, base.down_propagation,
-                                 down_faults, base.dll);
+                                 base.dll);
   if (cfg_.isolation.tdm_link) {
     std::vector<unsigned> w = cfg_.weights;
     if (w.empty()) w.assign(n, 1);
@@ -350,20 +346,12 @@ void MultiTenantSystem::attach_buffer(unsigned vf, const HostBuffer* buf) {
 
 void MultiTenantSystem::warm_host(unsigned vf, const HostBuffer& buf,
                                   std::uint64_t offset, std::uint64_t len) {
-  auto& cache = memory(vf).cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.host_touch(buf.iova(o), /*dirty=*/true);
-  }
+  memory(vf).cache().warm_host_range(buf.iova(offset), len, /*dirty=*/true);
 }
 
 void MultiTenantSystem::warm_device(unsigned vf, const HostBuffer& buf,
                                     std::uint64_t offset, std::uint64_t len) {
-  auto& cache = memory(vf).cache();
-  const unsigned line = cache.config().line_bytes;
-  for (std::uint64_t o = offset; o < offset + len; o += line) {
-    cache.write_allocate(buf.iova(o));
-  }
+  memory(vf).cache().warm_device_range(buf.iova(offset), len);
 }
 
 void MultiTenantSystem::thrash_cache(unsigned vf) {

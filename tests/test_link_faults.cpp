@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "core/runner.hpp"
+#include "fault/injector.hpp"
+#include "fault/plan.hpp"
 #include "sim/link.hpp"
 #include "sysconfig/profiles.hpp"
 
@@ -21,9 +23,9 @@ TEST(LinkFaultsTest, NoFaultsByDefault) {
 
 TEST(LinkFaultsTest, AlwaysFaultReplaysEveryTlp) {
   Simulator sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 1.0;
-  Link link(sim, proto::gen3_x8(), 0, faults);
+  fault::FaultInjector injector(fault::parse_plan("corrupt@every=1"));
+  Link link(sim, proto::gen3_x8(), 0);
+  link.set_fault_injector(&injector, /*upstream=*/true);
   for (int i = 0; i < 100; ++i) link.send(write_tlp(64));
   sim.run();
   EXPECT_EQ(link.replays(), 100u);
@@ -38,21 +40,22 @@ TEST(LinkFaultsTest, ReplayDelaysDelivery) {
   const Picos clean_done = clean.send(write_tlp(64));
 
   Simulator faulty_sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 1.0;
-  faults.replay_penalty = from_nanos(250);
-  Link faulty(faulty_sim, cfg, 0, faults);
+  fault::FaultInjector injector(fault::parse_plan("corrupt@every=1"));
+  LinkDllConfig dll;
+  dll.ack_latency = from_nanos(250);
+  Link faulty(faulty_sim, cfg, 0, dll);
+  faulty.set_fault_injector(&injector, /*upstream=*/true);
   const Picos faulty_done = faulty.send(write_tlp(64));
-  // One extra serialization plus the ack-timeout penalty.
+  // One extra serialization plus the NAK round trip.
   EXPECT_EQ(faulty_done - clean_done,
             serialization_ps(88, cfg.tlp_gbps()) + from_nanos(250));
 }
 
 TEST(LinkFaultsTest, DeliveryStillInOrder) {
   Simulator sim;
-  LinkFaultModel faults;
-  faults.replay_probability = 0.5;
-  Link link(sim, proto::gen3_x8(), from_nanos(10), faults);
+  fault::FaultInjector injector(fault::parse_plan("corrupt@prob=0.5"));
+  Link link(sim, proto::gen3_x8(), from_nanos(10));
+  link.set_fault_injector(&injector, /*upstream=*/true);
   std::vector<std::uint32_t> tags;
   link.set_deliver([&](const proto::Tlp& t) { tags.push_back(t.tag); });
   for (std::uint32_t i = 0; i < 50; ++i) {
@@ -61,6 +64,7 @@ TEST(LinkFaultsTest, DeliveryStillInOrder) {
     link.send(t);
   }
   sim.run();
+  EXPECT_GT(link.replays(), 0u);
   ASSERT_EQ(tags.size(), 50u);
   for (std::uint32_t i = 0; i < 50; ++i) EXPECT_EQ(tags[i], i);
 }
@@ -68,7 +72,7 @@ TEST(LinkFaultsTest, DeliveryStillInOrder) {
 TEST(LinkFaultsTest, RareReplaysWidenLatencyTailNotMedian) {
   auto clean_cfg = sys::netfpga_hsw().config;
   auto faulty_cfg = clean_cfg;
-  faulty_cfg.link_faults.replay_probability = 0.01;
+  faulty_cfg.fault_plan = fault::parse_plan("corrupt@prob=0.01");
 
   core::BenchParams p;
   p.kind = core::BenchKind::LatRd;
@@ -86,7 +90,7 @@ TEST(LinkFaultsTest, RareReplaysWidenLatencyTailNotMedian) {
 TEST(LinkFaultsTest, HeavyReplaysCutWriteBandwidth) {
   auto clean_cfg = sys::netfpga_hsw().config;
   auto faulty_cfg = clean_cfg;
-  faulty_cfg.link_faults.replay_probability = 0.1;
+  faulty_cfg.fault_plan = fault::parse_plan("corrupt@prob=0.1");
 
   core::BenchParams p;
   p.kind = core::BenchKind::BwWr;

@@ -4,8 +4,10 @@
 # SIGKILL instead of the test-only stop_after hook:
 #
 #   1. run an uninterrupted reference campaign and keep its CSV;
-#   2. run the same campaign into a fresh journal and SIGKILL the whole
-#      process group mid-run;
+#   2. run the same campaign into a fresh journal, poll the journal, and
+#      SIGKILL the whole process group once it holds at least TRIALS/4
+#      records — the check fails if the run completed before the kill,
+#      since a resume of a finished journal proves nothing;
 #   3. resume from the half-written journal;
 #   4. require the resumed CSV and canonical summary to be byte-identical
 #      to the reference.
@@ -21,7 +23,7 @@ TRIALS=300
 ITERS=300
 SEED=0xc4a05
 JOBS=2
-KILL_AFTER=1.0   # seconds into the interrupted run
+KILL_AT=$((TRIALS / 4))   # journal records that trigger the SIGKILL
 read -r -a EXTRA <<< "${PCIEB_RESUME_EXTRA:-}"
 
 if [[ ! -x "$PCIEBENCH" ]]; then
@@ -49,24 +51,33 @@ if [[ $status -ne 0 && $status -ne 1 ]]; then
     exit 3
 fi
 
-echo "== interrupted run (SIGKILL after ${KILL_AFTER}s)"
+echo "== interrupted run (SIGKILL at >= $KILL_AT journal records)"
 setsid "$PCIEBENCH" chaos --trials "$TRIALS" --iters "$ITERS" \
     --master-seed "$SEED" --jobs "$JOBS" --no-shrink \
     ${EXTRA[@]+"${EXTRA[@]}"} \
     --journal "$WORK/cut" >/dev/null 2>"$WORK/cut.log" &
 VICTIM=$!
-sleep "$KILL_AFTER"
+records() { find "$WORK/cut" -maxdepth 1 -name 'r*.rec' 2>/dev/null | wc -l; }
+while kill -0 "$VICTIM" 2>/dev/null && [[ $(records) -lt $KILL_AT ]]; do
+    sleep 0.01
+done
 # Kill the whole process group: the supervisor AND its forked workers
 # die instantly, mid-campaign, exactly like a crashed CI box.
 kill -KILL -- "-$VICTIM" 2>/dev/null
 wait "$VICTIM" 2>/dev/null
 
-COMMITTED=$(find "$WORK/cut" -maxdepth 1 -name 'r*.rec' | wc -l)
+COMMITTED=$(records)
 echo "   journal holds $COMMITTED/$TRIALS records after the kill"
 if [[ "$COMMITTED" -ge "$TRIALS" ]]; then
-    echo "ci_resume_check: WARNING: the interrupted run completed before" \
-         "the kill; the resume below proves nothing extra. Consider" \
-         "lowering KILL_AFTER or raising TRIALS." >&2
+    echo "ci_resume_check: FAIL: the interrupted run completed before the" \
+         "kill, so the resume below would prove nothing" >&2
+    exit 1
+fi
+if [[ "$COMMITTED" -lt "$KILL_AT" ]]; then
+    echo "ci_resume_check: interrupted run exited before the kill" \
+         "with $COMMITTED records" >&2
+    tail -20 "$WORK/cut.log" >&2
+    exit 3
 fi
 
 echo "== resumed run"
